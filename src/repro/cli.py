@@ -14,7 +14,6 @@ Commands::
     query      run one typed query against a database
     serve      expose a database over the embedded HTTP JSON API
     trace      render a saved span trace as a self-time table
-    convert    migrate a database between JSON and columnar formats
 
 Flag conventions (shared across subcommands): ``--db``/``--seed``
 select the database source everywhere a command reads one;
@@ -47,7 +46,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .pipeline.chaos import CHAOS_KINDS, CRASH_POINTS
-from .pipeline.config import STORAGE_BACKENDS
 from .pipeline.parallel import WORKER_MODES
 from .pipeline.resilience import POLICY_MODES
 from .rng import DEFAULT_SEED
@@ -172,12 +170,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", action="store_true",
                         help="collect run metrics (stage durations, "
                              "unit/retry/quarantine/cache counters)")
-    parser.add_argument("--storage", choices=STORAGE_BACKENDS,
-                        default="dict",
-                        help="in-memory database layout (columnar = "
-                             "struct-of-arrays; output bytes are "
-                             "identical either way; default: "
-                             "%(default)s)")
 
 
 def _parse_batch_size(value: str | None) -> int | None:
@@ -229,7 +221,6 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         trace_enabled=args.trace,
         trace_dir=args.trace_dir,
         metrics_enabled=args.metrics,
-        storage_backend=args.storage,
     )
 
 
@@ -602,6 +593,12 @@ def _cmd_serve_prefork(args: argparse.Namespace) -> int:
     from .serving import serve_prefork
 
     if args.db:
+        # Workers load the file themselves; reading it here first
+        # turns an unusable --db into exit 2 instead of a fleet of
+        # workers that crash at boot and are respawned forever.
+        from .api import load_database
+
+        load_database(args.db)
         db_path = args.db
     else:
         # Workers load the database from a file, so a pipeline-built
@@ -623,8 +620,6 @@ def _cmd_serve_prefork(args: argparse.Namespace) -> int:
                   cache_size=args.cache_size,
                   max_inflight=args.max_inflight,
                   deadline_s=args.deadline,
-                  index_backend=args.index_backend,
-                  shards=args.shards,
                   verbose=not args.quiet,
                   watch=args.watch,
                   watch_interval_s=args.watch_interval)
@@ -642,9 +637,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          cache_size=args.cache_size,
                          verbose=not args.quiet,
                          max_inflight=args.max_inflight,
-                         deadline_s=args.deadline,
-                         index_backend=args.index_backend,
-                         shards=args.shards)
+                         deadline_s=args.deadline)
     if args.watch:
         server.watch(args.watch, args.watch_interval)
     if not args.quiet:
@@ -678,6 +671,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError(
             f"trace file {str(path)!r} does not exist "
             "(record one with 'repro run --trace')")
+    if path.is_dir():
+        raise ValueError(
+            f"trace path {str(path)!r} is a directory, not a trace "
+            "file")
     spans = load_trace(path)
     if not spans:
         raise ValueError(
@@ -690,55 +687,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not args.quiet:
         print(f"{len(spans)} span(s) in {path}")
     print(render_trace_summary(rows))
-    return 0
-
-
-def _cmd_convert(args: argparse.Namespace) -> int:
-    from .storage import (
-        detect_storage_format,
-        load_any,
-        save_columnar,
-    )
-
-    source = Path(args.input)
-    if not source.exists():
-        raise ValueError(
-            f"database file {str(source)!r} does not exist")
-    source_format = detect_storage_format(source)
-    target = args.to or ("json" if source_format == "columnar"
-                         else "columnar")
-    db = load_any(source, verify_checksum=not args.no_checksum)
-    if target == "columnar":
-        from .storage import load_columnar
-
-        save_columnar(db, args.output)
-        reloaded = load_columnar(args.output)
-    else:
-        db.save(args.output)
-        reloaded = FailureDatabase.load(args.output)
-    # The round trip is the verification: whatever the on-disk layout,
-    # the content hash must survive the format change bit for bit.
-    before, after = db.fingerprint(), reloaded.fingerprint()
-    if before != after:
-        raise CorruptDatabaseError(
-            f"fingerprint changed across conversion "
-            f"({before[:12]} -> {after[:12]})",
-            path=str(args.output), reason="fingerprint-mismatch")
-    if args.json:
-        print(json.dumps({"convert": {
-            "input": str(source),
-            "source_format": source_format,
-            "output": str(args.output),
-            "target_format": target,
-            "fingerprint": after,
-            "disengagements": len(reloaded.disengagements),
-            "accidents": len(reloaded.accidents),
-            "mileage_cells": len(reloaded.mileage),
-        }}, indent=2))
-        return 0
-    if not args.quiet:
-        print(f"{source_format} -> {target}: {args.output} "
-              f"(fingerprint {after[:12]} verified)")
     return 0
 
 
@@ -913,16 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "crash-respawn and graceful drain; 0 = "
                             "single-process threaded server "
                             "(default: %(default)s)")
-    serve.add_argument("--index-backend", default="monolithic",
-                       choices=("monolithic", "sharded"),
-                       help="index layout: one monolithic index, or "
-                            "manufacturer shards with byte-identical "
-                            "responses (default: %(default)s)")
-    serve.add_argument("--shards", type=int, default=8,
-                       metavar="N",
-                       help="shard count for --index-backend sharded "
-                            "(capped at the manufacturer count; "
-                            "default: %(default)s)")
     serve.set_defaults(handler=_cmd_serve)
 
     trace = commands.add_parser(
@@ -933,23 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace file from a --trace run "
                             "(default: %(default)s)")
     trace.set_defaults(handler=_cmd_trace)
-
-    convert = commands.add_parser(
-        "convert",
-        help="migrate a database between JSON and columnar formats",
-        parents=[out])
-    convert.add_argument("input",
-                         help="source database (format auto-detected "
-                              "from the file's magic bytes)")
-    convert.add_argument("output", help="destination path")
-    convert.add_argument("--to", choices=("columnar", "json"),
-                         default=None,
-                         help="target format (default: the opposite "
-                              "of the input's)")
-    convert.add_argument("--no-checksum", action="store_true",
-                         help="skip .sha256 sidecar verification when "
-                              "reading the input")
-    convert.set_defaults(handler=_cmd_convert)
 
     return parser
 

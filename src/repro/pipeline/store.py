@@ -139,11 +139,8 @@ class FailureDatabase:
     # ------------------------------------------------------------------
     # Scan hooks.
     #
-    # Narrow, data-shaped questions Stage IV asks in hot loops.  The
-    # base implementations scan the record lists; the columnar backend
-    # (``repro.storage``) overrides them with struct-of-arrays scans
-    # that return the *same* values in the *same* order — analysis
-    # code calls the hook and never needs to know the layout.
+    # Narrow, data-shaped questions Stage IV asks in hot loops, each
+    # one scan over the record lists.
     # ------------------------------------------------------------------
 
     def vehicle_attribution_counts(self, manufacturer: str,
@@ -196,27 +193,6 @@ class FailureDatabase:
         return [r.modality for r in self.disengagements
                 if r.manufacturer == manufacturer
                 and r.modality is not None]
-
-    def disengagement_index_rows(self):
-        """``(record, manufacturer, month, tag)`` rows for index builds.
-
-        :class:`~repro.query.index.DatabaseIndex` groups on these three
-        keys; yielding them alongside the record lets the columnar
-        backend serve the keys from its packed arrays while the index
-        keeps one build implementation.
-        """
-        for record in self.disengagements:
-            yield record, record.manufacturer, record.month, record.tag
-
-    def accident_index_rows(self):
-        """``(record, manufacturer)`` rows for index builds."""
-        for record in self.accidents:
-            yield record, record.manufacturer
-
-    def mileage_index_rows(self):
-        """``(cell, manufacturer, month, miles)`` rows for index builds."""
-        for cell in self.mileage:
-            yield cell, cell.manufacturer, cell.month, cell.miles
 
     # ------------------------------------------------------------------
     # Persistence.
@@ -358,7 +334,7 @@ class FailureDatabase:
         returning silently wrong data.
         """
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
+        text = read_database_text(path)
         sidecar = _sidecar_path(path)
         if verify_checksum and sidecar.exists():
             expected = sidecar.read_text(encoding="utf-8").split()
@@ -368,6 +344,30 @@ class FailureDatabase:
                     ".sha256 sidecar",
                     path=str(path), reason="checksum mismatch")
         return cls.from_json(text, source=path)
+
+
+def read_database_text(path: Path) -> str:
+    """The text of a database file, decoded as UTF-8.
+
+    A missing file raises :class:`FileNotFoundError` (the caller
+    decides whether that is fatal).  Any other reason the file cannot
+    be read as text — a directory, a permission error, bytes that are
+    not UTF-8 — raises :class:`~repro.errors.CorruptDatabaseError`.
+    """
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise CorruptDatabaseError(
+            f"database file {path} is not UTF-8 JSON text",
+            path=str(path),
+            reason=f"not UTF-8 at byte {exc.start}") from exc
+    except OSError as exc:
+        raise CorruptDatabaseError(
+            f"database file {path} cannot be read: "
+            f"{exc.strerror or exc}",
+            path=str(path), reason=type(exc).__name__) from exc
 
 
 def _sidecar_path(path: Path) -> Path:

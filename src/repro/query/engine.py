@@ -45,15 +45,7 @@ from ..pipeline.checkpoint import canonical_json
 from ..pipeline.store import FailureDatabase
 from ..taxonomy import FailureCategory, FaultTag, category_of
 from .cache import LruCache
-from .index import DatabaseIndex, ShardedIndex
-
-#: Index layouts the engine can build (``sharded`` partitions by
-#: manufacturer; lookups are byte-identical either way).
-INDEX_BACKENDS = ("monolithic", "sharded")
-
-#: Shards built when ``index_backend="sharded"`` and the caller does
-#: not say otherwise.
-DEFAULT_SHARDS = 8
+from .index import DatabaseIndex
 
 #: Every metric the engine serves.
 METRICS = ("count", "miles", "dpm", "apm", "dpa", "tags",
@@ -85,13 +77,15 @@ _DEFAULT_GROUP_BY = {
     "trend": "manufacturer",
 }
 
-_MONTH_RE = re.compile(r"^\d{4}-\d{2}$")
+#: ``YYYY-MM`` with a real month (01-12).
+_MONTH_RE = re.compile(r"\d{4}-(0[1-9]|1[0-2])")
 
 _MISS = object()
 
 
 def _valid_month(value: str | None, name: str) -> None:
-    if value is not None and not _MONTH_RE.match(value):
+    if value is not None and not (isinstance(value, str)
+                                  and _MONTH_RE.fullmatch(value)):
         raise QueryError(
             f"{name} must be a YYYY-MM month, got {value!r}")
 
@@ -305,26 +299,10 @@ class QueryEngine:
     """
 
     def __init__(self, db: FailureDatabase, *,
-                 cache_size: int = 256,
-                 index_backend: str = "monolithic",
-                 shards: int = DEFAULT_SHARDS) -> None:
-        if index_backend not in INDEX_BACKENDS:
-            raise QueryError(
-                f"unknown index backend {index_backend!r}; "
-                f"known: {', '.join(INDEX_BACKENDS)}")
+                 cache_size: int = 256) -> None:
         self._db = db
-        self._index_backend = index_backend
-        self._shards = shards
-        self._index = self._build_index(db)
+        self._index = DatabaseIndex.build(db)
         self._cache = LruCache(cache_size)
-
-    def _build_index(self, db: FailureDatabase,
-                     fingerprint: str | None = None,
-                     ) -> DatabaseIndex | ShardedIndex:
-        if self._index_backend == "sharded":
-            return ShardedIndex.build(db, fingerprint=fingerprint,
-                                      shards=self._shards)
-        return DatabaseIndex.build(db, fingerprint=fingerprint)
 
     @property
     def db(self) -> FailureDatabase:
@@ -332,15 +310,9 @@ class QueryEngine:
         return self._db
 
     @property
-    def index(self) -> DatabaseIndex | ShardedIndex:
+    def index(self) -> DatabaseIndex:
         """The current index snapshot."""
         return self._index
-
-    @property
-    def index_backend(self) -> str:
-        """The index layout this engine builds (``monolithic`` or
-        ``sharded``)."""
-        return self._index_backend
 
     @property
     def fingerprint(self) -> str:
@@ -365,7 +337,7 @@ class QueryEngine:
         fingerprint = self._db.fingerprint()
         if fingerprint == self._index.fingerprint:
             return False
-        index = self._build_index(self._db, fingerprint=fingerprint)
+        index = DatabaseIndex.build(self._db, fingerprint=fingerprint)
         self._index = index  # the swap: one atomic reference store
         # Memory release only: old-fingerprint keys are unreachable
         # for any request admitted after the swap regardless (their
@@ -417,7 +389,7 @@ class QueryEngine:
         )
 
     def _compute(self, query: Query,
-                 index: DatabaseIndex | ShardedIndex) -> Any:
+                 index: DatabaseIndex) -> Any:
         if query.metric == "count":
             return self._count(query, index)
         if query.metric == "miles":
@@ -430,7 +402,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def scope(self, query: Query,
-              index: DatabaseIndex | ShardedIndex | None = None,
+              index: DatabaseIndex | None = None,
               ) -> FailureDatabase:
         """The database slice a query runs over.
 
@@ -489,7 +461,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def _count(self, query: Query,
-               index: DatabaseIndex | ShardedIndex) -> Any:
+               index: DatabaseIndex) -> Any:
         if not query.filtered:
             # O(1)/O(groups): straight off the prebuilt index.
             if query.group_by is None:
@@ -514,7 +486,7 @@ class QueryEngine:
         return _count_scoped(self.scope(query, index), query.group_by)
 
     def _miles(self, query: Query,
-               index: DatabaseIndex | ShardedIndex) -> Any:
+               index: DatabaseIndex) -> Any:
         if not query.filtered:
             if query.group_by is None:
                 return sum(index.miles_for(name)

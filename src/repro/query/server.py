@@ -110,7 +110,7 @@ from ..obs.metrics import (
 )
 from ..pipeline.chaos import ServingChaos
 from ..pipeline.store import FailureDatabase
-from .engine import DEFAULT_SHARDS, Query, QueryEngine
+from .engine import Query, QueryEngine
 from .snapshot import DirectoryWatcher, Snapshot, SnapshotManager
 
 #: Metric families reachable as ``/v1/metrics/<name>`` shortcuts.
@@ -426,9 +426,11 @@ class _Handler(BaseHTTPRequestHandler):
                 "Link", f'<{self._route}>; rel="successor-version"')
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        # Counted before any byte goes out: a client that has read
+        # this response and then scrapes /metrics must see it.
+        self._observe(status)
         self.end_headers()
         self.wfile.write(body)
-        self._observe(status)
 
     def _observe(self, status: int) -> None:
         """Record the request into the server's metrics registry."""
@@ -745,9 +747,7 @@ class QueryServer:
     bounds concurrent admitted requests (0 = unbounded);
     ``deadline_s`` is the per-request budget (0 = none);
     ``drain_timeout_s`` caps how long :meth:`shutdown` waits for
-    in-flight requests before closing anyway.  ``index_backend``
-    (``monolithic`` / ``sharded``) and ``shards`` pick the index
-    layout when the server builds the engine itself.
+    in-flight requests before closing anyway.
     """
 
     def __init__(self, db: FailureDatabase | QueryEngine
@@ -759,8 +759,6 @@ class QueryServer:
                  max_inflight: int = 64,
                  deadline_s: float = 10.0,
                  drain_timeout_s: float = 5.0,
-                 index_backend: str = "monolithic",
-                 shards: int = DEFAULT_SHARDS,
                  reuse_port: bool = False,
                  listen_socket: socket.socket | None = None,
                  chaos: ServingChaos | None = None) -> None:
@@ -772,7 +770,6 @@ class QueryServer:
         else:
             self.snapshots = SnapshotManager(
                 db, cache_size=cache_size, registry=self.registry,
-                index_backend=index_backend, shards=shards,
                 chaos=chaos)
         self.drain_timeout_s = drain_timeout_s
         httpd = _QueryHTTPServer((host, port), _Handler,
@@ -899,15 +896,12 @@ def serve(db: FailureDatabase, host: str = "127.0.0.1",
           port: int = 8350, *, cache_size: int = 256,
           verbose: bool = True, max_inflight: int = 64,
           deadline_s: float = 10.0,
-          index_backend: str = "monolithic",
-          shards: int = DEFAULT_SHARDS,
           watch: str | Path | None = None,
           watch_interval_s: float = 2.0) -> None:
     """Blocking convenience entry point (the ``repro serve`` verb)."""
     server = QueryServer(db, host, port, cache_size=cache_size,
                          verbose=verbose, max_inflight=max_inflight,
-                         deadline_s=deadline_s,
-                         index_backend=index_backend, shards=shards)
+                         deadline_s=deadline_s)
     if watch is not None:
         server.watch(watch, watch_interval_s)
     try:

@@ -45,8 +45,8 @@ from ..obs.metrics import (
 )
 from ..pipeline.chaos import ServingChaos
 from ..pipeline.checkpoint import sha256_text
-from ..pipeline.store import FailureDatabase
-from .engine import DEFAULT_SHARDS, QueryEngine
+from ..pipeline.store import FailureDatabase, read_database_text
+from .engine import QueryEngine
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,11 @@ class SnapshotManager:
 
     def __init__(self, db: FailureDatabase | QueryEngine, *,
                  source: str | None = None, cache_size: int = 256,
-                 index_backend: str = "monolithic",
-                 shards: int = DEFAULT_SHARDS,
                  registry: MetricsRegistry | None = None,
                  chaos: ServingChaos | None = None) -> None:
-        if isinstance(db, QueryEngine):
-            engine = db
-            # Replacement engines built here (swap_database / load)
-            # keep the layout the caller's engine already chose.
-            index_backend = db.index_backend
-        else:
-            engine = QueryEngine(db, cache_size=cache_size,
-                                 index_backend=index_backend,
-                                 shards=shards)
+        engine = (db if isinstance(db, QueryEngine)
+                  else QueryEngine(db, cache_size=cache_size))
         self._cache_size = cache_size
-        self._index_backend = index_backend
-        self._shards = shards
         self._chaos = chaos
         self._lock = threading.Lock()
         self._quarantined = 0
@@ -192,7 +181,7 @@ class SnapshotManager:
                 return False
             if self._chaos is not None:
                 self._chaos.reached("swap-build")
-            engine = self._build_engine(db)
+            engine = QueryEngine(db, cache_size=self._cache_size)
             if self._chaos is not None:
                 self._chaos.reached("swap-publish")
             self._publish(engine, fingerprint, source)
@@ -248,7 +237,7 @@ class SnapshotManager:
                 return False
             if self._chaos is not None:
                 self._chaos.reached("swap-build")
-            engine = self._build_engine(db)
+            engine = QueryEngine(db, cache_size=self._cache_size)
             if self._chaos is not None:
                 self._chaos.reached("swap-publish")
             self._publish(engine, fingerprint, str(path))
@@ -258,16 +247,10 @@ class SnapshotManager:
     # Internals (all called under the swap lock).
     # ------------------------------------------------------------------
 
-    def _build_engine(self, db: FailureDatabase) -> QueryEngine:
-        """Build a replacement engine with this manager's layout."""
-        return QueryEngine(db, cache_size=self._cache_size,
-                           index_backend=self._index_backend,
-                           shards=self._shards)
-
     def _read_candidate(self, path: Path) -> FailureDatabase:
         """Read + verify one candidate file (chaos garbles pre-decode,
         exactly where a torn write would)."""
-        text = path.read_text(encoding="utf-8")
+        text = read_database_text(path)
         if self._chaos is not None:
             text = self._chaos.corrupt_text(text)
         sidecar = path.with_name(path.name + ".sha256")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..calibration.manufacturers import MANUFACTURERS, PERIODS, ReportPeriod
+from ..errors import SynthesisError
 from ..parsing.records import (
     AccidentRecord,
     DisengagementRecord,
@@ -77,9 +78,16 @@ def generate_corpus(seed: int = DEFAULT_SEED,
 
     ``manufacturers`` restricts synthesis to a subset (useful for fast
     tests); the default covers all twelve manufacturers of Table I.
+    An unknown name raises :class:`~repro.errors.SynthesisError`
+    listing the known ones.
     """
     names = manufacturers if manufacturers is not None else list(
         MANUFACTURERS)
+    unknown = [name for name in names if name not in MANUFACTURERS]
+    if unknown:
+        raise SynthesisError(
+            f"unknown manufacturer(s): {', '.join(unknown)}; known: "
+            f"{', '.join(MANUFACTURERS)}")
     corpus = SyntheticCorpus(seed=seed)
     accident_index = 0
     for name in names:

@@ -7,6 +7,9 @@ the small two-manufacturer corpus instead.
 
 from __future__ import annotations
 
+import struct
+from array import array
+
 import pytest
 
 from repro.pipeline import PipelineConfig, process_corpus
@@ -48,3 +51,22 @@ def small_db(small_corpus):
     config = PipelineConfig(seed=SMALL_SEED, ocr_enabled=False,
                             dictionary_mode="seed")
     return process_corpus(small_corpus, config).database
+
+
+@pytest.fixture
+def unusable_db_paths(tmp_path):
+    """Paths that exist but can never load as a database: a directory,
+    a file that is not UTF-8, and a binary ``RPROCOL1`` blob of the
+    kind the removed columnar backend wrote (magic, header length,
+    JSON header, packed float64 columns)."""
+    directory = tmp_path / "db-dir"
+    directory.mkdir()
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"disengagements": ["caf\xe9"]}'
+                         .encode("latin-1"))
+    header = b'{"byteorder":"little","format":1,"tables":[]}'
+    blob = tmp_path / "db.bin"
+    blob.write_bytes(b"RPROCOL1" + struct.pack("<Q", len(header))
+                     + header + array("d", [1234.5, 0.1]).tobytes())
+    return {"directory": directory, "not_utf8": not_utf8,
+            "blob": blob}

@@ -157,6 +157,15 @@ class TestApiFacade:
         assert excinfo.value.reason == "missing"
         assert str(tmp_path / "absent.json") in str(excinfo.value)
 
+    def test_load_database_unusable_file_is_corrupt_error(
+            self, unusable_db_paths):
+        from repro import api
+
+        for path in unusable_db_paths.values():
+            with pytest.raises(CorruptDatabaseError) as excinfo:
+                api.load_database(path)
+            assert excinfo.value.path == str(path)
+
     def test_load_database_roundtrip(self, small_db, tmp_path):
         from repro import api
 

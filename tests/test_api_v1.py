@@ -120,6 +120,8 @@ class TestErrorEnvelope:
                 ("/v1/metrics/frobnicate", "not_found"),
                 ("/v1/manufacturers?cursor=%21%21", "invalid_cursor"),
                 ("/v1/query?metric=count&limit=3", "invalid_query"),
+                ("/v1/query?metric=count&month_from=2015-13",
+                 "invalid_query"),
         ]:
             _, _, body = _error(server, path)
             assert body["error"]["code"] == expected_code, path

@@ -46,6 +46,13 @@ class TestParser:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    def test_unknown_manufacturer_exits_2(self, capsys):
+        code = main(["run", "--manufacturers", "Nobody", "--no-ocr"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Nobody" in err
+        assert "Waymo" in err  # the known names are listed
+
 
 class TestRun:
     def test_run_writes_database(self, nissan_db_path, capsys):
@@ -333,13 +340,20 @@ class TestSharedFlagConventions:
             assert "does not exist" in err
             assert "Traceback" not in err
 
-    def test_corrupt_db_exits_2(self, tmp_path, capsys):
+    def test_corrupt_db_exits_2(self, tmp_path, unusable_db_paths,
+                                capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{definitely not a database",
                        encoding="utf-8")
         code = main(["query", "dpm", "--db", str(bad)])
         assert code == 2
         assert "repro: error:" in capsys.readouterr().err
+        for path in unusable_db_paths.values():
+            for argv in (["query", "dpm"], ["serve"],
+                         ["serve", "--processes", "2"]):
+                code = main([*argv, "--db", str(path)])
+                assert code == 2, (argv, path)
+                assert "repro: error:" in capsys.readouterr().err
 
 
 class TestTraceVerb:
@@ -372,6 +386,9 @@ class TestTraceVerb:
         code = main(["trace", str(tmp_path / "nope.jsonl")])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+        code = main(["trace", str(tmp_path)])
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
 
     def test_run_summary_mentions_trace_and_metrics(self, tmp_path,
                                                     capsys):

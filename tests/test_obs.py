@@ -9,8 +9,10 @@ be a true no-op (the null tracer/registry, not a cheap real one).
 from __future__ import annotations
 
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +38,7 @@ from repro.obs.metrics import (
 )
 from repro.pipeline import PipelineConfig, process_corpus
 from repro.query import QueryServer
+from repro.query.server import _Handler
 
 THREADS = 8
 STAGES = {"parse-documents", "accident-documents", "normalize",
@@ -341,6 +344,34 @@ class TestExposition:
                    if l.startswith(f"{HTTP_LATENCY}_bucket")
                    and 'route="/v1/query"' in l]
         assert len(buckets) == len(DEFAULT_BUCKETS) + 1  # +Inf
+
+    def test_request_counted_before_response_is_written(self):
+        """A client that has read its response and then scrapes
+        /metrics must find that request counted: the handler records
+        it before the first byte reaches the socket."""
+        registry = MetricsRegistry()
+        requests = registry.counter(HTTP_REQUESTS, "",
+                                    ("route", "status"))
+        handler = _Handler.__new__(_Handler)
+        handler.server = SimpleNamespace(
+            http_requests=requests, verbose=False,
+            http_latency=registry.histogram(HTTP_LATENCY, "",
+                                            ("route",)))
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET /nope HTTP/1.1"
+        handler._route = "<unknown>"
+        handler._started = time.perf_counter()
+        counted_at_write: list[float] = []
+
+        class _Wfile:
+            def write(self, data: bytes) -> None:
+                counted_at_write.append(
+                    requests.labels("<unknown>", "404").value)
+
+        handler.wfile = _Wfile()
+        handler._send_body(404, "application/json", b"{}")
+        assert counted_at_write
+        assert all(value == 1 for value in counted_at_write)
 
     def test_default_registry_is_shared(self):
         assert default_registry() is default_registry()

@@ -11,6 +11,7 @@ plumbing, the inverted dictionary index, and the token memo.
 from __future__ import annotations
 
 import json
+import pickle
 import warnings
 
 import pytest
@@ -33,6 +34,7 @@ from repro.pipeline.parallel import (
     BATCH_SIZE_CLAMP,
     PROCESS_POOL_MIN_WORKERS,
     WORKER_MODES,
+    UnitOutcome,
     resolve_batch_size,
     worker_config,
 )
@@ -579,3 +581,32 @@ class TestStatsDataclass:
         assert stats.speedup_estimate is None
         stats.parallel_wall_s = 0.5
         assert stats.speedup_estimate == pytest.approx(2.0)
+
+
+# ----------------------------------------------------------------------
+# Compact worker payloads.
+# ----------------------------------------------------------------------
+
+class TestCompactOutcomes:
+    def _outcome(self) -> UnitOutcome:
+        return UnitOutcome(
+            body={"tag": "software", "category": "machine"},
+            health=({"tag": (1, 0, 0, 0, 0)}, []),
+            elapsed=0.002)
+
+    def test_pickle_round_trip(self):
+        outcome = self._outcome()
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+
+    def test_no_instance_dict(self):
+        assert not hasattr(self._outcome(), "__dict__")
+
+    def test_smaller_than_dict_baseline(self):
+        outcome = self._outcome()
+        baseline = {
+            "body": outcome.body,
+            "health": {"stages": {"tag": [1, 0, 0, 0, 0]},
+                       "events": []},
+            "error": None, "ocr": None, "elapsed": outcome.elapsed,
+            "injected": 0, "metrics": None}
+        assert len(pickle.dumps(outcome)) < len(pickle.dumps(baseline))

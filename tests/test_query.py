@@ -226,8 +226,14 @@ class TestQueryValidation:
             Query(metric="apm", group_by="month")
 
     def test_bad_month(self):
-        with pytest.raises(QueryError, match="YYYY-MM"):
-            Query(metric="count", month_from="2016")
+        for bad in ("2016", "2015-13", "2015-00", "2015-1",
+                    "2015-01\n", 201501):
+            with pytest.raises(QueryError, match="YYYY-MM"):
+                Query(metric="count", month_from=bad)
+            with pytest.raises(QueryError, match="YYYY-MM"):
+                Query(metric="count", month_to=bad)
+        assert Query(metric="count", month_from="2015-12",
+                     month_to="2016-01").month_to == "2016-01"
 
     def test_inverted_range(self):
         with pytest.raises(QueryError, match="empty month range"):
