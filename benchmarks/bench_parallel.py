@@ -1,6 +1,6 @@
 """Parallel fan-out and tagger hot-path benchmarks.
 
-Five budgets guard this perf work:
+Six budgets guard this perf work:
 
 1. **End-to-end speedup** — ``--workers 4`` must beat serial by
    >= 1.5x on a >= 4-core machine (scaled down to >= 1.1x on 2-3
@@ -24,6 +24,13 @@ Five budgets guard this perf work:
    per-unit ``UnitOutcome`` stream it replaced (the chunk ships one
    merged health delta / metrics dump / wall time instead of one per
    unit).
+6. **OCR channel and import** — the block-drawn confusion walk must
+   beat the scalar one-draw-per-check oracle (``tests/ocr_oracles.py``)
+   by >= 1.8x over the OCR inputs of the subset, with equal output and
+   equal generator state; and ``scipy.stats`` must not be loaded,
+   neither by ``import repro.api`` in a fresh interpreter nor by any
+   pipeline run in this process (a hard gate).  The OCR channel wall
+   and the ``import repro.api`` time are recorded alongside.
 
 Run as a script (``python benchmarks/bench_parallel.py``) for the
 self-contained report CI runs; ``--out`` additionally writes the
@@ -37,8 +44,13 @@ import argparse
 import json
 import os
 import pickle
+import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.nlp.dictionary import FailureDictionary
 from repro.nlp.evaluation import evaluate_tagger
@@ -58,7 +70,13 @@ from repro.pipeline.parallel import (
     UnitOutcome,
     resolve_batch_size,
 )
-from repro.pipeline.stages import OcrStage, PipelineDiagnostics
+from repro.ocr import ConfusionModel, Scanner
+from repro.pipeline.stages import (
+    OcrStage,
+    OcrStageStats,
+    PipelineDiagnostics,
+)
+from repro.rng import child_generator
 from repro.synth import generate_corpus
 
 SEED = 2018
@@ -77,6 +95,11 @@ TAG_BATCH_SPEEDUP_BUDGET = 1.3
 #: Chunked dispatch must cut wire bytes per unit by this fraction
 #: versus the per-unit outcome stream (measured at 2 workers).
 BATCH_PAYLOAD_REDUCTION_BUDGET = 0.30
+#: The block-drawn confusion walk must beat the scalar oracle by this
+#: much over the same inputs.
+OCR_WALK_SPEEDUP_BUDGET = 1.8
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _config(**overrides) -> PipelineConfig:
@@ -138,6 +161,119 @@ def _timed(func):
     start = time.perf_counter()
     result = func()
     return result, time.perf_counter() - start
+
+
+def _ocr_and_import_tier(corpus, rounds: int, report: dict,
+                         failures: list[str]) -> None:
+    """Time the OCR channel, the confusion walk and ``import repro.api``,
+    and gate ``scipy.stats`` off the run path."""
+    sys.path.insert(0, str(ROOT))
+    from tests.ocr_oracles import scalar_corrupt_line
+
+    config = _config()
+    documents = [*corpus.disengagement_documents,
+                 *corpus.accident_documents]
+
+    def channel() -> OcrStageStats:
+        # A fresh stage per round, as in a run: the corrector's word
+        # memo starts empty.
+        stage = OcrStage(config.scanner_profile,
+                         config.correction_enabled,
+                         config.fallback_threshold)
+        stats = OcrStageStats()
+        for document in documents:
+            stage.process(document, child_generator(
+                SEED, f"ocr:{document.document_id}"), stats)
+        return stats
+
+    stats, _ = _timed(channel)
+    channel_wall = min(_timed(channel)[1] for _ in range(rounds))
+
+    # The confusion walk's inputs: every scanned line with its page
+    # quality, exactly as the engine feeds them.
+    scanner = Scanner(config.scanner_profile)
+    inputs = [
+        (line, page.quality)
+        for document in documents
+        for page in scanner.scan(
+            document.document_id, document.lines, child_generator(
+                SEED, f"ocr:{document.document_id}")).pages
+        for line in page.true_lines]
+    model = ConfusionModel()
+
+    def walk(corrupt):
+        rng = np.random.default_rng(SEED)
+        return ([corrupt(line, quality, rng) for line, quality in inputs],
+                rng.bit_generator.state)
+
+    def scalar(line, quality, rng):
+        return scalar_corrupt_line(model, line, quality, rng)
+
+    block_times, scalar_times = [], []
+    for _ in range(rounds):
+        block_result, wall = _timed(lambda: walk(model.corrupt_line))
+        block_times.append(wall)
+        scalar_result, wall = _timed(lambda: walk(scalar))
+        scalar_times.append(wall)
+        assert block_result == scalar_result, (
+            "block-drawn walk diverged from the scalar oracle "
+            "(output or generator state)")
+    block_wall, scalar_wall = min(block_times), min(scalar_times)
+    walk_speedup = scalar_wall / block_wall
+
+    import_times, stats_loaded = [], False
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for _ in range(rounds):
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "start = time.perf_counter()\n"
+             "import repro.api\n"
+             "print(time.perf_counter() - start,"
+             " 'scipy.stats' in sys.modules)\n"],
+            capture_output=True, text=True, env=env, check=True)
+        seconds, loaded = probe.stdout.split()
+        import_times.append(float(seconds))
+        stats_loaded = stats_loaded or loaded == "True"
+    import_s = statistics.median(import_times)
+    run_loaded = "scipy.stats" in sys.modules
+
+    report["ocr_channel"] = {
+        "documents": stats.documents,
+        "lines": stats.lines,
+        "wall_s": round(channel_wall, 4),
+        "walk_characters": sum(len(line) for line, _ in inputs),
+        "block_walk_s": round(block_wall, 4),
+        "scalar_walk_s": round(scalar_wall, 4),
+        "walk_speedup": round(walk_speedup, 3),
+        "walk_speedup_budget": OCR_WALK_SPEEDUP_BUDGET,
+    }
+    report["import"] = {
+        "repro_api_s": round(import_s, 4),
+        "scipy_stats_on_import": stats_loaded,
+        "scipy_stats_after_runs": run_loaded,
+    }
+    print(f"\nOCR channel ({stats.documents} documents, "
+          f"{stats.lines:,} lines):")
+    print(f"  channel wall:   {channel_wall:8.3f}s "
+          "(scan, recognize, fall back, correct)")
+    print(f"  block walk:     {block_wall:8.3f}s over "
+          f"{len(inputs):,} lines")
+    print(f"  scalar oracle:  {scalar_wall:8.3f}s")
+    print(f"  walk speedup:   {walk_speedup:8.2f}x "
+          f"(budget >={OCR_WALK_SPEEDUP_BUDGET:.1f}x, output and "
+          "generator state asserted equal)")
+    print(f"import repro.api: {import_s:8.3f}s (median of {rounds}); "
+          f"scipy.stats loaded on import: {stats_loaded}, "
+          f"after pipeline runs: {run_loaded}")
+    if walk_speedup < OCR_WALK_SPEEDUP_BUDGET:
+        failures.append(
+            f"block-drawn walk speedup {walk_speedup:.2f}x under the "
+            f"{OCR_WALK_SPEEDUP_BUDGET:.1f}x budget")
+    if stats_loaded or run_loaded:
+        failures.append("scipy.stats is loaded on the run path")
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +554,8 @@ def main(argv=None) -> int:
         failures.append(
             f"chunked payload reduction {chunk_delta:.1%} under the "
             f"{BATCH_PAYLOAD_REDUCTION_BUDGET:.0%} budget")
+
+    _ocr_and_import_tier(corpus, args.rounds, report, failures)
 
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

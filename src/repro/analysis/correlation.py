@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import InsufficientDataError
 
@@ -41,6 +40,8 @@ def pearson(x: list[float] | np.ndarray,
             "need at least 3 points for a correlation test")
     if np.allclose(xa, xa[0]) or np.allclose(ya, ya[0]):
         raise InsufficientDataError("a variable is constant")
+    from scipy import stats as sstats
+
     result = sstats.pearsonr(xa, ya)
     return CorrelationResult(
         r=float(result.statistic), p_value=float(result.pvalue),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import InsufficientDataError
 from ..pipeline.store import FailureDatabase
@@ -84,6 +83,8 @@ def compare_pair(db: FailureDatabase, left: str, right: str,
         raise InsufficientDataError(
             f"too few units: {left}={len(left_values)}, "
             f"{right}={len(right_values)}")
+    from scipy import stats as sstats
+
     test = sstats.mannwhitneyu(left_values, right_values,
                                alternative="two-sided")
     left_median = float(np.median(left_values))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from ..errors import InsufficientDataError
 
@@ -27,6 +26,8 @@ class ExponWeibullFit:
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
         """Density at ``x``."""
+        from scipy import stats as sstats
+
         return sstats.exponweib.pdf(
             np.asarray(x, dtype=float), self.a, self.c, loc=0.0,
             scale=self.scale)
@@ -34,12 +35,16 @@ class ExponWeibullFit:
     @property
     def mean(self) -> float:
         """Mean of the fitted distribution."""
+        from scipy import stats as sstats
+
         return float(sstats.exponweib.mean(
             self.a, self.c, loc=0.0, scale=self.scale))
 
     @property
     def median(self) -> float:
         """Median of the fitted distribution."""
+        from scipy import stats as sstats
+
         return float(sstats.exponweib.median(
             self.a, self.c, loc=0.0, scale=self.scale))
 
@@ -54,6 +59,8 @@ class ExponentialFit:
 
     def pdf(self, x: float | np.ndarray) -> np.ndarray:
         """Density at ``x``."""
+        from scipy import stats as sstats
+
         return sstats.expon.pdf(
             np.asarray(x, dtype=float), loc=0.0, scale=self.scale)
 
@@ -64,6 +71,8 @@ class ExponentialFit:
 
     def cdf(self, x: float) -> float:
         """P(X <= x) under the fit."""
+        from scipy import stats as sstats
+
         return float(sstats.expon.cdf(x, loc=0.0, scale=self.scale))
 
 
@@ -81,6 +90,8 @@ def fit_exponweibull(values: list[float] | np.ndarray,
     if array.size < 8:
         raise InsufficientDataError(
             f"need at least 8 positive values to fit, got {array.size}")
+    from scipy import stats as sstats
+
     a, c, _, scale = sstats.exponweib.fit(array, floc=0.0)
     ks = sstats.kstest(
         array, "exponweib", args=(a, c, 0.0, scale)).statistic
@@ -99,6 +110,8 @@ def fit_exponential(values: list[float] | np.ndarray) -> ExponentialFit:
     scale = float(array.mean())
     if scale <= 0:
         raise InsufficientDataError("all values are zero")
+    from scipy import stats as sstats
+
     ks = sstats.kstest(array, "expon", args=(0.0, scale)).statistic
     return ExponentialFit(
         scale=scale, ks_statistic=float(ks), n=int(array.size))

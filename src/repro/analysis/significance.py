@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as sstats
-
 from ..errors import AnalysisError
 
 
@@ -41,6 +39,8 @@ def rate_upper_bound(miles: float, failures: int,
         raise AnalysisError("failures must be non-negative")
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence {confidence} outside (0, 1)")
+    from scipy import stats as sstats
+
     return float(sstats.chi2.ppf(confidence, 2 * failures + 2)
                  / (2.0 * miles))
 
@@ -54,6 +54,8 @@ def rate_lower_bound(miles: float, failures: int,
         raise AnalysisError("miles must be positive")
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence {confidence} outside (0, 1)")
+    from scipy import stats as sstats
+
     return float(sstats.chi2.ppf(1.0 - confidence, 2 * failures)
                  / (2.0 * miles))
 
@@ -76,6 +78,8 @@ def failure_rate_confidence(miles: float, failures: int,
     if failures == 0:
         return 0.0
     expected = rate_per_mile * miles
+    from scipy import stats as sstats
+
     return float(sstats.poisson.cdf(failures - 1, expected))
 
 

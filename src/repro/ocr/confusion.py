@@ -48,11 +48,17 @@ class ConfusionModel:
     drop_rate: float = 0.01
     _by_source: dict[str, list[tuple[str, float]]] = field(
         init=False, default_factory=dict, repr=False)
+    #: The two-character sources, the only multi-character ones the
+    #: walk ever checks.
+    _digraphs: frozenset[str] = field(
+        init=False, default=frozenset(), repr=False)
 
     def __post_init__(self) -> None:
         for source, replacement, weight in self.confusions:
             self._by_source.setdefault(source, []).append(
                 (replacement, weight))
+        self._digraphs = frozenset(
+            source for source in self._by_source if len(source) == 2)
 
     def corrupt_line(self, line: str, quality: float,
                      rng: np.random.Generator) -> tuple[str, int]:
@@ -60,38 +66,79 @@ class ConfusionModel:
 
         Returns the corrupted line and the number of corruptions
         applied (used by the engine to compute confidence).
+
+        Draws are consumed exactly as one scalar ``rng.random()`` per
+        check would consume them, left to right: at each position a
+        digraph check (if the two characters are a source), then a
+        substitution check (if the character is a source) and a drop
+        check (if it is a letter), at most three draws per position.
+        The walk reads a block of ``3 * len`` doubles drawn up front,
+        then rewinds the generator and draws exactly the ``used``
+        values again, so the stream and every buffered bit (PCG64's
+        pending uint32) end where the scalar loop leaves them.  A
+        source with several replacements draws its pick from ``rng``
+        itself: the walk stops there, settles the block, picks, and
+        starts a fresh block for the rest of the line.
         """
         severity = max(0.0, 1.0 - quality)
         sub_p = self.base_rate * severity
         drop_p = self.drop_rate * severity
         if severity <= 0.0:
             return line, 0
+        by_source = self._by_source
+        digraphs = self._digraphs
         out: list[str] = []
+        append = out.append
         corruptions = 0
-        i = 0
-        while i < len(line):
-            # Digraph confusions get first shot.
-            digraph = line[i:i + 2]
-            if (len(digraph) == 2 and digraph in self._by_source
-                    and rng.random() < sub_p):
-                out.append(self._pick(digraph, rng))
-                corruptions += 1
-                i += 2
-                continue
-            char = line[i]
-            if char in PROTECTED_CHARACTERS:
-                out.append(char)
-            elif char in self._by_source and rng.random() < sub_p:
-                out.append(self._pick(char, rng))
-                corruptions += 1
-            elif char.isalpha() and rng.random() < drop_p:
-                # Real engines substitute glyphs far more often than
-                # they delete them, and deletions concentrate in letter
-                # strokes; digits and punctuation survive.
-                corruptions += 1  # dropped
-            else:
-                out.append(char)
-            i += 1
+        i, n = 0, len(line)
+        while i < n:
+            saved = rng.bit_generator.state
+            block = rng.random(3 * (n - i)).tolist()
+            used = 0
+            pending = None  # a source whose pick draws from ``rng``
+            while i < n:
+                # Digraph confusions get first shot.
+                if line[i:i + 2] in digraphs:
+                    used += 1
+                    if block[used - 1] < sub_p:
+                        digraph = line[i:i + 2]
+                        i += 2
+                        corruptions += 1
+                        options = by_source[digraph]
+                        if len(options) > 1:
+                            pending = digraph
+                            break
+                        append(options[0][0])
+                        continue
+                char = line[i]
+                i += 1
+                if char in PROTECTED_CHARACTERS:
+                    append(char)
+                    continue
+                if char in by_source:
+                    used += 1
+                    if block[used - 1] < sub_p:
+                        corruptions += 1
+                        options = by_source[char]
+                        if len(options) > 1:
+                            pending = char
+                            break
+                        append(options[0][0])
+                        continue
+                if char.isalpha():
+                    # Real engines substitute glyphs far more often
+                    # than they delete them, and deletions concentrate
+                    # in letter strokes; digits and punctuation survive.
+                    used += 1
+                    if block[used - 1] < drop_p:
+                        corruptions += 1  # dropped
+                        continue
+                append(char)
+            rng.bit_generator.state = saved
+            if used:
+                rng.random(used)
+            if pending is not None:
+                append(self._pick(pending, rng))
         return "".join(out), corruptions
 
     def _pick(self, source: str, rng: np.random.Generator) -> str:

@@ -94,6 +94,9 @@ class OcrCorrector:
         if extra_lexicon:
             lexicon.update(w.lower() for w in extra_lexicon)
         self._lexicon = frozenset(lexicon)
+        #: ``_repair_word`` result per exact word: the repair is a pure
+        #: function of the word and the (frozen) lexicon.
+        self._repaired: dict[str, str] = {}
 
     @property
     def lexicon(self) -> frozenset[str]:
@@ -124,6 +127,12 @@ class OcrCorrector:
 
     def _repair_word(self, match: re.Match[str]) -> str:
         word = match.group()
+        repaired = self._repaired.get(word)
+        if repaired is None:
+            repaired = self._repaired[word] = self._repair(word)
+        return repaired
+
+    def _repair(self, word: str) -> str:
         lowered = word.lower()
         if lowered in self._lexicon:
             return word

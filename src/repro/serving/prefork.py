@@ -22,9 +22,12 @@ from the inherited socket.
 **Supervision.**  A worker that dies for any reason while the server
 is running is respawned under the same worker id (same metrics dump
 slot, same generation file), and the respawn catches up to the
-current generation at boot.  Shutdown SIGTERMs every worker; each
-drains in-flight requests (the PR 6 graceful-drain path) before
-exiting, and stragglers are killed after the drain timeout.
+current generation at boot.  Repeated quick deaths in one slot back
+off exponentially (capped at a few seconds); a worker that cannot
+load its database exits 2 with one ``repro: error:`` line.
+Shutdown SIGTERMs every worker; each drains in-flight requests (the
+PR 6 graceful-drain path) before exiting, and stragglers are killed
+after the drain timeout.
 
 **Hot swap.**  :meth:`PreforkServer.publish` atomically bumps the
 generation file; every worker's watcher loads the new database
@@ -54,6 +57,15 @@ from .worker import WorkerConfig, run_worker
 
 #: Listen backlog for the shared-socket fallback.
 _BACKLOG = 128
+#: Supervisor poll cadence.
+_SUPERVISE_POLL_S = 0.1
+#: Respawn back-off of a worker slot whose worker keeps dying: the
+#: first wait after a quick death, doubled per further quick death up
+#: to the cap.
+_BACKOFF_BASE_S = 0.1
+_BACKOFF_CAP_S = 5.0
+#: A worker up this long before it died resets its slot's back-off.
+_STABLE_UPTIME_S = 5.0
 
 
 def _worker_entry(config: WorkerConfig, listen_socket) -> None:
@@ -232,16 +244,39 @@ class PreforkServer:
         return process
 
     def _supervise(self) -> None:
+        """Respawn dead workers, backing off per slot.
+
+        The first death in a slot respawns at once; each further death
+        within :data:`_STABLE_UPTIME_S` of the last spawn doubles the
+        slot's wait, up to :data:`_BACKOFF_CAP_S`.  A worker that stays
+        up that long resets its slot, so a crash under load is still
+        replaced at once while a worker dying at boot (a bad database
+        drop) is retried every few seconds, not ten times a second.
+        """
+        slots = len(self._workers)
+        spawned_at = [time.monotonic()] * slots
+        backoff = [0.0] * slots
+        respawn_at: list[float | None] = [None] * slots
         while not self._stopping.is_set():
+            now = time.monotonic()
             for worker_id, process in enumerate(self._workers):
                 if process is None or process.is_alive():
                     continue
-                process.join()
-                if self._stopping.is_set():
-                    break
+                if respawn_at[worker_id] is None:
+                    process.join()
+                    if now - spawned_at[worker_id] >= _STABLE_UPTIME_S:
+                        backoff[worker_id] = 0.0
+                    respawn_at[worker_id] = now + backoff[worker_id]
+                    backoff[worker_id] = min(
+                        max(2.0 * backoff[worker_id], _BACKOFF_BASE_S),
+                        _BACKOFF_CAP_S)
+                if now < respawn_at[worker_id] or self._stopping.is_set():
+                    continue
+                respawn_at[worker_id] = None
                 self._restarts += 1
+                spawned_at[worker_id] = now
                 self._workers[worker_id] = self._spawn(worker_id)
-            self._stopping.wait(0.1)
+            self._stopping.wait(_SUPERVISE_POLL_S)
 
     def wait_ready(self, timeout: float = 30.0) -> bool:
         """Block until the port answers ``/v1/healthz`` with 200."""

@@ -33,10 +33,12 @@ import os
 import pickle
 import signal
 import socket
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..errors import ReproError
 from ..obs.metrics import (
     MetricsRegistry,
     SERVING_WORKER_GENERATION,
@@ -126,14 +128,24 @@ class _WorkerRuntime:
 def build_worker(config: WorkerConfig,
                  listen_socket: socket.socket | None = None,
                  ) -> _WorkerRuntime:
-    """Assemble (but do not run) one worker's serving stack."""
+    """Assemble (but do not run) one worker's serving stack.
+
+    A worker that cannot boot (no readable generation file, or a
+    database that does not load) prints one ``repro: error:`` line and
+    exits 2; the master backs off before respawning it.
+    """
     generation_file = GenerationFile(config.generation_path)
     generation = generation_file.wait()
-    if generation is None:
-        raise RuntimeError(
-            f"no readable generation file at "
-            f"{config.generation_path!r}")
-    db = FailureDatabase.load(generation.path)
+    try:
+        if generation is None:
+            raise ReproError(
+                f"no readable generation file at "
+                f"{config.generation_path!r}")
+        db = FailureDatabase.load(generation.path)
+    except (ReproError, OSError) as exc:
+        print(f"repro: error: worker {config.worker_id}: {exc}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
     registry = MetricsRegistry()
     manager = SnapshotManager(
         db, source=generation.path, cache_size=config.cache_size,

@@ -14,7 +14,7 @@ import calendar
 from datetime import date
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
 
 from ..calibration.fault_model import fault_mixture
 from ..calibration.manufacturers import MANUFACTURERS, ReportPeriod
@@ -68,14 +68,29 @@ def _sample_time(rng: np.random.Generator) -> tuple[int, int, int]:
     return hour, int(rng.integers(0, 60)), int(rng.integers(0, 60))
 
 
+def _exponweib_draw(a: float, c: float, scale: float,
+                    rng: np.random.Generator) -> np.float64:
+    """One exponentiated-Weibull variate, bit-equal to
+    ``scipy.stats.exponweib.rvs(a, c, scale=scale, random_state=rng)``.
+
+    The same inverse-CDF steps on the same 0-d arrays and ufuncs as
+    scipy's own path (one uniform draw, ``_ppf``, then
+    ``* scale + loc``), without importing :mod:`scipy.stats`.  Neither
+    ``np.log1p`` nor ``math.log1p`` rounds like ``scipy.special.log1p``
+    on every input, so the ufunc is kept.
+    """
+    u = rng.uniform(size=())
+    variate = (-special.log1p(-u ** (1.0 / a))) ** np.asarray(1.0 / c)
+    return variate * scale + 0.0
+
+
 def _sample_reaction_time(manufacturer: str, cumulative_miles: float,
                           rng: np.random.Generator) -> float | None:
     """Draw a reaction time (seconds) if the manufacturer reports them."""
     model = reaction_time_model(manufacturer)
     if model is None:
         return None
-    value = float(sstats.exponweib.rvs(
-        model.a, model.c, scale=model.scale, random_state=rng))
+    value = float(_exponweib_draw(model.a, model.c, model.scale, rng))
     if model.drift_per_log_mile:
         log_miles = np.log10(max(cumulative_miles, 1.0))
         value += model.drift_per_log_mile * (

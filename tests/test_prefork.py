@@ -316,6 +316,23 @@ class TestSupervision:
             status, _ = _get(server.url, "/v1/query?metric=count")
             assert status == 200
 
+    def test_unloadable_database_backs_off_without_tracebacks(
+            self, tmp_path, capfd):
+        # The generation file names a directory: every worker dies at
+        # boot.  Without back-off the slot respawned ~30 times in 3 s,
+        # each death printing a full traceback.
+        with PreforkServer(tmp_path, port=0, processes=1,
+                           **FAST) as server:
+            time.sleep(3.0)
+            restarts = server.restarts
+        err = capfd.readouterr().err
+        assert 1 <= restarts <= 8
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines and len(lines) <= restarts + 1
+        assert all(line.startswith("repro: error: worker 0: ")
+                   for line in lines)
+
     def test_graceful_shutdown_leaves_no_workers(self, db_file):
         server = PreforkServer(db_file, port=0, processes=PROCESSES,
                                **FAST)

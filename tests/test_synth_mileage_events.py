@@ -8,7 +8,8 @@ from repro.calibration.manufacturers import (
     PERIODS,
     ReportPeriod,
 )
-from repro.synth.events import synthesize_disengagements
+from repro.calibration.reaction_times import REACTION_TIME_MODELS
+from repro.synth.events import _exponweib_draw, synthesize_disengagements
 from repro.synth.fleet import build_roster
 from repro.synth.mileage import build_monthly_plan
 from repro.taxonomy import FaultTag, Modality
@@ -130,3 +131,28 @@ class TestEventSynthesis:
             "Nissan", nissan_plan, np.random.default_rng(9))
         assert [r.description for r in a] == [r.description for r in b]
         assert [r.truth_tag for r in a] == [r.truth_tag for r in b]
+
+
+class TestReactionTimeDraw:
+    """The inverse-CDF draw reproduces ``scipy.stats.exponweib.rvs``
+    bit for bit and consumes the generator the same way."""
+
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize("name", sorted(REACTION_TIME_MODELS))
+    def test_bit_equal_to_scipy(self, name):
+        from scipy import stats
+
+        model = REACTION_TIME_MODELS[name]
+        ours = np.random.default_rng(2018)
+        scipys = np.random.default_rng(2018)
+        for rng in (ours, scipys):
+            rng.integers(1, 31)  # leave a buffered uint32 behind
+        drawn = [float(_exponweib_draw(model.a, model.c, model.scale,
+                                       ours))
+                 for _ in range(self.DRAWS)]
+        reference = [float(stats.exponweib.rvs(
+            model.a, model.c, scale=model.scale, random_state=scipys))
+            for _ in range(self.DRAWS)]
+        assert drawn == reference
+        assert ours.bit_generator.state == scipys.bit_generator.state
